@@ -31,7 +31,8 @@ std::uint64_t now_ns() noexcept;
 /// `name` and the arg keys must be string literals; unused arg slots pass
 /// nullptr keys.
 void record(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns,
-            const char* key0, double value0, const char* key1, double value1);
+            const char* key0, double value0, const char* key1, double value1,
+            const char* key2 = nullptr, double value2 = 0.0);
 
 /// True while a TraceSuppressScope is active on the calling thread.
 bool thread_suppressed() noexcept;
@@ -108,29 +109,30 @@ class TraceSpan {
   ~TraceSpan() {
     if (name_ != nullptr && trace_enabled()) {
       trace_detail::record(name_, begin_, trace_detail::now_ns(), keys_[0],
-                           values_[0], keys_[1], values_[1]);
+                           values_[0], keys_[1], values_[1], keys_[2],
+                           values_[2]);
     }
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  /// Attaches a numeric argument (at most two; `key` must be a literal).
+  /// Attaches a numeric argument (at most three; `key` must be a literal).
   void arg(const char* key, double value) noexcept {
     if (name_ == nullptr) return;
-    if (keys_[0] == nullptr) {
-      keys_[0] = key;
-      values_[0] = value;
-    } else if (keys_[1] == nullptr) {
-      keys_[1] = key;
-      values_[1] = value;
+    for (int i = 0; i < 3; ++i) {
+      if (keys_[i] == nullptr) {
+        keys_[i] = key;
+        values_[i] = value;
+        return;
+      }
     }
   }
 
  private:
   const char* name_ = nullptr;
   std::uint64_t begin_ = 0;
-  const char* keys_[2] = {nullptr, nullptr};
-  double values_[2] = {0.0, 0.0};
+  const char* keys_[3] = {nullptr, nullptr, nullptr};
+  double values_[3] = {0.0, 0.0, 0.0};
 };
 
 /// One clock pair feeding both the trace (a span) and the stats registry

@@ -14,18 +14,20 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "netlist/netlist.h"
 
 namespace gcnt {
 
-/// Parses a .bench document. Throws gcnt::Error{kCorrupt} (a
-/// std::runtime_error) with a line number on malformed input (unknown
-/// gate, undefined signal, redefinition).
+/// Parses a .bench document (grammar and node-id order: docs/FORMATS.md).
+/// Throws gcnt::Error{kCorrupt} (a std::runtime_error) with a line number
+/// on malformed input (unknown gate, undefined signal, redefinition).
+/// Reads the stream into one buffer and parses it in place.
 Netlist read_bench(std::istream& in, std::string design_name = "bench");
 
-/// Convenience overload over a string payload.
-Netlist read_bench_string(const std::string& text,
+/// Same, over text already in memory (parsed without a copy).
+Netlist read_bench_string(std::string_view text,
                           std::string design_name = "bench");
 
 /// Serializes in .bench syntax; reading the result back yields an

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/trace.h"
+
 namespace gcnt {
 
 NodeId Netlist::add_node(CellType type, std::string name) {
@@ -41,6 +43,19 @@ void Netlist::connect(NodeId from, NodeId to) {
   ++edge_count_;
 }
 
+void Netlist::reserve(std::size_t nodes) {
+  types_.reserve(nodes);
+  names_.reserve(nodes);
+  fanins_.reserve(nodes);
+  fanouts_.reserve(nodes);
+}
+
+void Netlist::reserve_edges(NodeId v, std::size_t fanins,
+                            std::size_t fanouts) {
+  fanins_[v].reserve(fanins);
+  fanouts_[v].reserve(fanouts);
+}
+
 bool Netlist::edge_is_combinational(NodeId /*from*/, NodeId to) const noexcept {
   // An edge into a DFF is the D-pin capture: a sequential boundary. Every
   // other edge propagates combinationally in the same cycle.
@@ -55,19 +70,18 @@ std::vector<NodeId> Netlist::topological_order() const {
       if (edge_is_combinational(u, v)) ++pending[v];
     }
   }
+  // Kahn's algorithm with a FIFO ready queue: `order` itself is the queue,
+  // [head, end) the nodes released but not yet expanded.
   std::vector<NodeId> order;
   order.reserve(n);
-  std::deque<NodeId> ready;
   for (NodeId v = 0; v < n; ++v) {
-    if (pending[v] == 0) ready.push_back(v);
+    if (pending[v] == 0) order.push_back(v);
   }
-  while (!ready.empty()) {
-    const NodeId v = ready.front();
-    ready.pop_front();
-    order.push_back(v);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const NodeId v = order[head];
     for (NodeId w : fanouts_[v]) {
       if (!edge_is_combinational(v, w)) continue;
-      if (--pending[w] == 0) ready.push_back(w);
+      if (--pending[w] == 0) order.push_back(w);
     }
   }
   if (order.size() != n) {
@@ -78,6 +92,8 @@ std::vector<NodeId> Netlist::topological_order() const {
 }
 
 std::vector<std::uint32_t> Netlist::logic_levels() const {
+  TraceSpan span("netlist.levelize");
+  span.arg("nodes", static_cast<double>(size()));
   const auto order = topological_order();
   std::vector<std::uint32_t> level(size(), 0);
   for (NodeId v : order) {

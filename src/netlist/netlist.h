@@ -42,6 +42,13 @@ class Netlist {
   /// of `to`). Duplicate edges are allowed (multi-input from same driver).
   void connect(NodeId from, NodeId to);
 
+  /// Pre-sizes storage for `nodes` cells in total, so a bulk builder (the
+  /// .bench reader) allocates once. Content is unaffected.
+  void reserve(std::size_t nodes);
+  /// Pre-sizes the fanin and fanout lists of `v` for `fanins` / `fanouts`
+  /// entries in total.
+  void reserve_edges(NodeId v, std::size_t fanins, std::size_t fanouts);
+
   CellType type(NodeId v) const noexcept { return types_[v]; }
   const std::string& node_name(NodeId v) const noexcept { return names_[v]; }
   const std::vector<NodeId>& fanins(NodeId v) const noexcept {

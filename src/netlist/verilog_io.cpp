@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/trace.h"
 
 namespace gcnt {
 
@@ -27,8 +28,8 @@ struct Token {
 }
 
 /// Lexer: identifiers/keywords and single-char punctuation; comments and
-/// whitespace removed.
-std::vector<Token> tokenize(std::istream& in) {
+/// whitespace removed. `bytes` receives the number of characters read.
+std::vector<Token> tokenize(std::istream& in, std::size_t& bytes) {
   std::vector<Token> tokens;
   std::string text;
   int line = 1;
@@ -43,7 +44,9 @@ std::vector<Token> tokenize(std::istream& in) {
     }
   };
 
+  bytes = 0;
   while (in.get(c)) {
+    ++bytes;
     if (c == '\n') {
       in_line_comment = false;
       flush();
@@ -70,6 +73,7 @@ std::vector<Token> tokenize(std::istream& in) {
       flush();
       in_block_comment = true;
       in.get(prev);  // consume '*' so "/*/" doesn't close immediately
+      ++bytes;
       continue;
     }
     if (std::isspace(static_cast<unsigned char>(c))) {
@@ -109,7 +113,10 @@ struct Instance {
 }  // namespace
 
 Netlist read_verilog(std::istream& in, std::string fallback_name) {
-  const auto tokens = tokenize(in);
+  TraceSpan span("netlist.parse");
+  std::size_t bytes = 0;
+  const auto tokens = tokenize(in, bytes);
+  span.arg("bytes", static_cast<double>(bytes));
   std::size_t at = 0;
 
   const auto peek = [&]() -> const Token& {
@@ -252,6 +259,8 @@ Netlist read_verilog(std::istream& in, std::string fallback_name) {
     const NodeId po = netlist.add_node(CellType::kOutput, "out_" + t.text);
     netlist.connect(resolve(t.text, t.line), po);
   }
+  span.arg("nodes", static_cast<double>(netlist.size()));
+  span.arg("edges", static_cast<double>(netlist.edge_count()));
   return netlist;
 }
 

@@ -155,8 +155,11 @@ std::uint32_t scoap_observe_through(const Netlist& netlist, NodeId g,
   return kScoapInfinity;
 }
 
-void compute_controllability(const Netlist& netlist, ScoapMeasures& measures) {
-  const auto order = netlist.topological_order();
+namespace {
+
+void controllability_in_order(const Netlist& netlist,
+                              const std::vector<NodeId>& order,
+                              ScoapMeasures& measures) {
   measures.cc0.assign(netlist.size(), kScoapInfinity);
   measures.cc1.assign(netlist.size(), kScoapInfinity);
   for (NodeId v : order) {
@@ -165,33 +168,50 @@ void compute_controllability(const Netlist& netlist, ScoapMeasures& measures) {
   }
 }
 
-void compute_observability(const Netlist& netlist, ScoapMeasures& measures) {
-  const auto order = netlist.topological_order();
+/// CO of non-sink `v` from its fanouts' current CO: the cheapest path
+/// through any fanin slot `v` drives.
+std::uint32_t best_observe(const Netlist& netlist, NodeId v,
+                           const ScoapMeasures& measures) {
+  std::uint32_t best = kScoapInfinity;
+  for (NodeId g : netlist.fanouts(v)) {
+    const auto& gf = netlist.fanins(g);
+    for (std::size_t slot = 0; slot < gf.size(); ++slot) {
+      if (gf[slot] != v) continue;
+      best = std::min(best, scoap_observe_through(netlist, g, slot, measures,
+                                                  measures.co[g]));
+    }
+  }
+  return best;
+}
+
+void observability_in_order(const Netlist& netlist,
+                            const std::vector<NodeId>& order,
+                            ScoapMeasures& measures) {
   measures.co.assign(netlist.size(), kScoapInfinity);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const NodeId v = *it;
-    if (is_sink(netlist.type(v))) {
-      measures.co[v] = 0;  // value lands in a scan cell / on a pin
-      continue;
-    }
-    std::uint32_t best = kScoapInfinity;
-    for (NodeId g : netlist.fanouts(v)) {
-      const auto& gf = netlist.fanins(g);
-      for (std::size_t slot = 0; slot < gf.size(); ++slot) {
-        if (gf[slot] != v) continue;
-        best = std::min(best, scoap_observe_through(netlist, g, slot,
-                                                    measures, measures.co[g]));
-      }
-    }
-    measures.co[v] = best;
+    // A sink's value lands in a scan cell / on a pin.
+    measures.co[v] =
+        is_sink(netlist.type(v)) ? 0 : best_observe(netlist, v, measures);
   }
+}
+
+}  // namespace
+
+void compute_controllability(const Netlist& netlist, ScoapMeasures& measures) {
+  controllability_in_order(netlist, netlist.topological_order(), measures);
+}
+
+void compute_observability(const Netlist& netlist, ScoapMeasures& measures) {
+  observability_in_order(netlist, netlist.topological_order(), measures);
 }
 
 ScoapMeasures compute_scoap(const Netlist& netlist) {
   GCNT_KERNEL_SCOPE("scoap.full");
   ScoapMeasures measures;
-  compute_controllability(netlist, measures);
-  compute_observability(netlist, measures);
+  const std::vector<NodeId> order = netlist.topological_order();
+  controllability_in_order(netlist, order, measures);
+  observability_in_order(netlist, order, measures);
   return measures;
 }
 
@@ -207,24 +227,42 @@ void update_observability_after_observe(const Netlist& netlist, NodeId target,
                                         ScoapMeasures& measures) {
   resize_for(netlist, measures);
   // Only nodes in the fan-in cone of `target` (inclusive) can improve.
-  auto cone = netlist.fanin_cone(target);
+  // Visit them in reverse topological order of the cone's own
+  // combinational edges (Kahn's algorithm over fanouts), so every in-cone
+  // fanout is final before its driver; out-of-cone CO is unchanged.
+  std::vector<NodeId> cone = netlist.fanin_cone(target);
   cone.push_back(target);
-  const auto levels = netlist.logic_levels();
-  std::sort(cone.begin(), cone.end(), [&](NodeId a, NodeId b) {
-    return levels[a] > levels[b];
-  });
-  for (NodeId v : cone) {
-    if (is_sink(netlist.type(v))) continue;
-    std::uint32_t best = kScoapInfinity;
-    for (NodeId g : netlist.fanouts(v)) {
-      const auto& gf = netlist.fanins(g);
-      for (std::size_t slot = 0; slot < gf.size(); ++slot) {
-        if (gf[slot] != v) continue;
-        best = std::min(best, scoap_observe_through(netlist, g, slot,
-                                                    measures, measures.co[g]));
+  std::sort(cone.begin(), cone.end());
+  const auto local = [&](NodeId v) -> std::size_t {
+    const auto it = std::lower_bound(cone.begin(), cone.end(), v);
+    return it != cone.end() && *it == v ? static_cast<std::size_t>(
+                                              it - cone.begin())
+                                        : cone.size();
+  };
+  // An edge u -> w is combinational unless it is a DFF's D-pin capture.
+  std::vector<std::uint32_t> pending(cone.size(), 0);
+  for (std::size_t i = 0; i < cone.size(); ++i) {
+    for (NodeId w : netlist.fanouts(cone[i])) {
+      if (netlist.type(w) != CellType::kDff && local(w) < cone.size()) {
+        ++pending[i];
       }
     }
-    measures.co[v] = best;
+  }
+  std::vector<NodeId> ready;
+  for (std::size_t i = 0; i < cone.size(); ++i) {
+    if (pending[i] == 0) ready.push_back(cone[i]);
+  }
+  while (!ready.empty()) {
+    const NodeId v = ready.back();
+    ready.pop_back();
+    if (!is_sink(netlist.type(v))) {
+      measures.co[v] = best_observe(netlist, v, measures);
+    }
+    if (netlist.type(v) == CellType::kDff) continue;
+    for (NodeId u : netlist.fanins(v)) {
+      const std::size_t i = local(u);
+      if (i < cone.size() && --pending[i] == 0) ready.push_back(u);
+    }
   }
 }
 

@@ -44,8 +44,9 @@ void compute_observability(const Netlist& netlist, ScoapMeasures& measures);
 
 /// Incrementally repairs observability after insert_observe_point(target):
 /// controllability is unaffected, and CO can only change inside the fan-in
-/// cone of `target`, which this updates in reverse-level order. `measures`
-/// must be resized by the caller via `resize_for`.
+/// cone of `target`, which this updates in reverse topological order of
+/// the cone's own edges (no whole-graph pass). Extends `measures` via
+/// `resize_for` first.
 void update_observability_after_observe(const Netlist& netlist,
                                         NodeId target,
                                         ScoapMeasures& measures);

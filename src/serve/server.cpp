@@ -88,9 +88,8 @@ Netlist read_netlist_source(std::uint8_t source, const std::string& data) {
     return is_verilog_path(data) ? read_verilog(in, data)
                                  : read_bench(in, data);
   }
-  if (source == 1) {  // inline .bench text
-    std::istringstream in(data);
-    return read_bench(in, "<inline>");
+  if (source == 1) {  // inline .bench text, parsed in place
+    return read_bench_string(data, "<inline>");
   }
   throw Error(ErrorKind::kUsage,
               "unknown netlist source kind " + std::to_string(source));

@@ -169,6 +169,33 @@ TEST(Scoap, IncrementalUpdateMatchesFullRecompute) {
   }
 }
 
+TEST(Scoap, IncrementalUpdateMatchesFullAfterEveryInsertion) {
+  // OPs on inputs, flip-flops and gates alike, some on the same node
+  // twice; the cone-local update must equal a full recompute every time.
+  GeneratorConfig config;
+  config.seed = 72;
+  config.target_gates = 300;
+  config.primary_inputs = 12;
+  config.primary_outputs = 6;
+  config.flip_flops = 10;
+  Netlist n = generate_circuit(config);
+  auto incremental = compute_scoap(n);
+  const std::size_t original = n.size();
+  std::size_t inserted = 0;
+  for (NodeId v = 0; v < original; v += 11) {
+    const CellType t = n.type(v);
+    if (t == CellType::kOutput || t == CellType::kObserve) continue;
+    for (int repeat = 0; repeat < (v % 3 == 0 ? 2 : 1); ++repeat) {
+      n.insert_observe_point(v);
+      update_observability_after_observe(n, v, incremental);
+      ++inserted;
+      const auto full = compute_scoap(n);
+      ASSERT_EQ(incremental.co, full.co) << "after OP on node " << v;
+    }
+  }
+  EXPECT_GT(inserted, 30u);
+}
+
 TEST(Scoap, DuplicateFaninHandled) {
   const Netlist n =
       read_bench_string("INPUT(a)\nOUTPUT(g)\ng = AND(a, a)\n");

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/artifact.h"
 #include "common/error.h"
 #include "common/fault_inject.h"
@@ -31,6 +33,12 @@
 
 namespace gcnt {
 namespace {
+
+/// A spill directory private to this process: the binary runs as two
+/// ctest entries (GCNT_THREADS=1 and 8) that may run concurrently.
+std::string spill_dir(const std::string& name) {
+  return testing::TempDir() + name + "_" + std::to_string(::getpid());
+}
 
 Netlist test_netlist(std::uint64_t seed, std::size_t gates = 2000) {
   GeneratorConfig config;
@@ -445,7 +453,7 @@ TEST(ShardedForward, SpillToDiskIsIdenticalAndEnveloped) {
   ShardedGcnOptions options;
   options.shards = 4;
   options.halo = 1;
-  options.spill_dir = testing::TempDir() + "gcnt_shard_spill";
+  options.spill_dir = spill_dir("gcnt_shard_spill");
   ShardedGcnEngine engine(model, options);
   engine.refresh(tensors);
   EXPECT_EQ(engine.logits(), reference);
@@ -509,7 +517,7 @@ TEST(ShardedIncremental, RcmAndSpillTogetherStayIdentical) {
   ShardedGcnOptions options;
   options.shards = 4;
   options.halo = 1;
-  options.spill_dir = testing::TempDir() + "gcnt_shard_spill_rcm";
+  options.spill_dir = spill_dir("gcnt_shard_spill_rcm");
   options.full_fallback_fraction = 0.9;
   ShardedGcnEngine engine(model, options);
   engine.refresh(tensors);
@@ -567,7 +575,7 @@ TEST(ShardStore, MemoryRoundTrip) {
 
 TEST(ShardStore, DiskRoundTripUsesTheArtifactEnvelope) {
   ShardStore store;
-  store.configure(testing::TempDir() + "gcnt_shard_store");
+  store.configure(spill_dir("gcnt_shard_store"));
   Matrix block(4, 3);
   for (std::size_t r = 0; r < 4; ++r) {
     for (std::size_t c = 0; c < 3; ++c) {
@@ -587,7 +595,7 @@ TEST(ShardStore, DiskRoundTripUsesTheArtifactEnvelope) {
 
 TEST(ShardStore, CorruptedBlockIsRejected) {
   ShardStore store;
-  store.configure(testing::TempDir() + "gcnt_shard_corrupt");
+  store.configure(spill_dir("gcnt_shard_corrupt"));
   Matrix block(2, 2);
   block.at(0, 0) = 1.0f;
   block.at(1, 1) = 2.0f;
@@ -609,7 +617,7 @@ TEST(ShardStore, CorruptedBlockIsRejected) {
 
 TEST(ShardStore, KillMidSpillLeavesThePreviousBlock) {
   ShardStore store;
-  store.configure(testing::TempDir() + "gcnt_shard_kill");
+  store.configure(spill_dir("gcnt_shard_kill"));
   Matrix original(2, 3);
   original.fill(1.5f);
   store.put(1, 0, original);
@@ -636,7 +644,7 @@ TEST(ShardedForward, RecoversAfterAKilledSpillWrite) {
   ShardedGcnOptions options;
   options.shards = 2;
   options.halo = 1;
-  options.spill_dir = testing::TempDir() + "gcnt_shard_recover";
+  options.spill_dir = spill_dir("gcnt_shard_recover");
   ShardedGcnEngine engine(model, options);
   // Kill the 5th spill write mid-refresh: the forward aborts with kIo and
   // no cache is published.
